@@ -14,8 +14,9 @@
 //! * [`behavior`] — behaviors `⟨tr, trm(v,F,M) | prt(F) | ⊥⟩` (Def. 2.1)
 //!   and bounded-exhaustive behavior enumeration.
 //! * [`refine`] — the **simple** behavioral refinement `⊑` (Def. 2.4),
-//!   checked by behavior-set inclusion over all initial configurations
-//!   drawn from a finite footprint/value domain.
+//!   decided over all initial configurations drawn from a finite
+//!   footprint/value domain by a memoized product walk of the two
+//!   programs, with behavior-set inclusion kept as the reference oracle.
 //! * [`advanced`] — the **advanced** behavioral refinement `⊑_w`
 //!   (Def. 3.3), checked as the simulation game of App. A (Fig. 6) with
 //!   late UB and commitment sets.
@@ -45,6 +46,7 @@ pub mod behavior;
 pub mod label;
 pub mod machine;
 pub mod oracle;
+mod product;
 pub mod refine;
 pub mod search;
 
@@ -55,6 +57,7 @@ pub use machine::{EnumDomain, Memory, SeqState};
 pub use oracle::{check_under_oracle, FreeOracle, NoGainOracle, Oracle, PinReadsOracle};
 pub use refine::{
     check_simple, refines_advanced_or_simple_config, refines_advanced_or_simple_outcome,
-    refines_simple, RefineCheckError, RefineConfig, RefineError, RefineOutcome,
+    refines_simple, refines_simple_by_enumeration, RefineCheckError, RefineConfig, RefineError,
+    RefineOutcome,
 };
 pub use search::{explore_seq, seq_engine_config, SeqExploration, SeqSystem};

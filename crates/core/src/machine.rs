@@ -260,17 +260,68 @@ impl SeqState {
         subsets(&p)
     }
 
+    /// Takes the *unlabeled* transition — a silent step or a non-atomic
+    /// access — in place and returns `true`, or returns `false` (leaving
+    /// the state unchanged) when the next transition is labeled or the
+    /// state is final. Unlabeled transitions are deterministic: a state
+    /// that has one has no other.
+    pub(crate) fn step_unlabeled(&mut self) -> bool {
+        let step = self.prog.step();
+        self.take_unlabeled(step).is_ok()
+    }
+
+    /// Takes `step` in place if it is unlabeled, or hands it back.
+    fn take_unlabeled(&mut self, step: Step) -> Result<(), Step> {
+        match step {
+            // (silent)
+            Step::Silent(next) => self.prog = next,
+            // (na-read) / (racy-na-read)
+            Step::Read {
+                loc,
+                mode: ReadMode::Na,
+            } => {
+                let v = if self.perm.contains(&loc) {
+                    self.mem.get(loc)
+                } else {
+                    Value::Undef
+                };
+                self.prog = self.prog.resume_read(v);
+            }
+            // (na-write) / (racy-na-write)
+            Step::Write {
+                loc,
+                mode: WriteMode::Na,
+                val,
+                next,
+            } => {
+                if self.perm.contains(&loc) {
+                    self.prog = next;
+                    self.mem.set(loc, val);
+                    self.written.insert(loc);
+                } else {
+                    self.prog = ProgState::bottom();
+                }
+            }
+            labeled => return Err(labeled),
+        }
+        Ok(())
+    }
+
     /// Enumerates every machine transition `S → S′` (with its label, if
     /// labeled) under the given enumeration domain.
     ///
     /// Terminated and `⊥` states have no transitions; use
     /// [`SeqState::is_bottom`] / [`SeqState::returned`] to classify them.
     pub fn transitions(&self, dom: &EnumDomain) -> Vec<(Option<SeqLabel>, SeqState)> {
+        let mut next = self.clone();
+        let step = match next.take_unlabeled(self.prog.step()) {
+            Ok(()) => return vec![(None, next)],
+            Err(labeled) => labeled,
+        };
         let mut out = Vec::new();
-        match self.prog.step() {
+        match step {
             Step::Terminated(_) | Step::Fail => {}
-            // (silent)
-            Step::Silent(next) => out.push((None, self.with_prog(next))),
+            Step::Silent(_) => unreachable!("silent steps are unlabeled"),
             // (choice)
             Step::Choose(cs) => {
                 let choices = match &cs {
@@ -287,15 +338,7 @@ impl SeqState {
                 }
             }
             Step::Read { loc, mode } => match mode {
-                // (na-read) / (racy-na-read)
-                ReadMode::Na => {
-                    let v = if self.perm.contains(&loc) {
-                        self.mem.get(loc)
-                    } else {
-                        Value::Undef
-                    };
-                    out.push((None, self.with_prog(self.prog.resume_read(v))));
-                }
+                ReadMode::Na => unreachable!("non-atomic reads are unlabeled"),
                 // (relaxed read): value unconstrained, recorded in trace.
                 ReadMode::Rlx => {
                     for &v in &dom.values {
@@ -329,17 +372,7 @@ impl SeqState {
                 val,
                 next,
             } => match mode {
-                // (na-write) / (racy-na-write)
-                WriteMode::Na => {
-                    if self.perm.contains(&loc) {
-                        let mut s = self.with_prog(next);
-                        s.mem.set(loc, val);
-                        s.written.insert(loc);
-                        out.push((None, s));
-                    } else {
-                        out.push((None, self.to_bottom()));
-                    }
-                }
+                WriteMode::Na => unreachable!("non-atomic writes are unlabeled"),
                 // (relaxed write)
                 WriteMode::Rlx => {
                     out.push((Some(SeqLabel::WriteRlx(loc, val)), self.with_prog(next)));

@@ -7,7 +7,10 @@
 //!
 //! The checker quantifies `P`, `F`, `M` over the finite footprint/value
 //! domain derived from the two programs (see [`EnumDomain::for_pair`]) and
-//! enumerates behavior sets exhaustively within a step budget. A returned
+//! decides each configuration within a step budget by a memoized product
+//! walk over the two programs (`crate::product`), which never builds a
+//! behavior set. [`refines_simple_by_enumeration`] keeps the definition's
+//! enumerate-then-compare form as the reference oracle. A returned
 //! counterexample is a concrete initial configuration plus an unmatched
 //! target behavior — exactly the shape of the paper's `{̸` arguments
 //! (e.g. Examples 2.5–2.12).
@@ -19,6 +22,7 @@ use seqwm_lang::{Loc, Program, Value};
 use crate::behavior::{behaviors_refine, enumerate_behaviors_fuel, Behavior};
 use crate::label::{LocSet, Valuation};
 use crate::machine::{subsets, EnumDomain, Memory, SeqState};
+use crate::product::ProductWalk;
 
 /// How to quantify the initial written-locations set `F`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -41,8 +45,10 @@ pub struct RefineConfig {
     pub written_quant: WrittenQuant,
     /// Extra integer values to add to the enumeration domain.
     pub extra_values: Vec<i64>,
-    /// Global work budget (states explored) across *all* configurations of
-    /// one check, or `None` for unbounded. `max_steps` bounds each path but
+    /// Global work budget across *all* configurations of one check, or
+    /// `None` for unbounded: product positions solved plus silent steps
+    /// settled for [`refines_simple`], states explored for the enumeration
+    /// oracle and the advanced checker. `max_steps` bounds each path but
     /// not the path *count*, which is exponential in the number of atomic
     /// reads; this bounds the whole check deterministically. Exhaustion
     /// yields [`RefineError::Truncated`] rather than a verdict.
@@ -144,8 +150,9 @@ pub struct RefineOutcome {
     pub counterexample: Option<Counterexample>,
     /// Number of initial configurations `(P, F, M)` checked.
     pub configs: usize,
-    /// Total number of target behaviors matched.
-    pub behaviors: usize,
+    /// Product positions solved (a target end against the set of source
+    /// ends it must be matched by); `0` from the enumeration oracle.
+    pub positions: usize,
 }
 
 /// Builds the enumeration domain for a program pair under a config.
@@ -191,6 +198,9 @@ fn written_options(dom: &EnumDomain, quant: WrittenQuant) -> Vec<LocSet> {
 /// Checks the simple behavioral refinement `tgt ⊑ src` (Def. 2.4) between
 /// two whole programs.
 ///
+/// Each configuration is decided by the memoized product walk; its memo
+/// lives for one `(P, F)` group of configurations (every memory `M`).
+///
 /// # Errors
 ///
 /// Fails with [`RefineError`] if the programs cannot be checked in SEQ.
@@ -200,9 +210,74 @@ pub fn refines_simple(
     cfg: &RefineConfig,
 ) -> Result<RefineOutcome, RefineError> {
     let dom = domain_for(src, tgt, cfg)?;
+    let budget = cfg.max_fuel.unwrap_or(u64::MAX);
+    let mut fuel = budget;
+    let out = walk_configs(src, tgt, cfg, &dom, &mut fuel);
+    seqwm_explore::counters::add(&seqwm_explore::counters::REFINE_FUEL_SPENT, budget - fuel);
+    out
+}
+
+fn walk_configs(
+    src: &Program,
+    tgt: &Program,
+    cfg: &RefineConfig,
+    dom: &EnumDomain,
+    fuel: &mut u64,
+) -> Result<RefineOutcome, RefineError> {
+    let mut configs = 0;
+    let mut positions = 0;
+    for perm in dom.loc_subsets() {
+        for written in written_options(dom, cfg.written_quant) {
+            let mut walk = ProductWalk::new(dom, fuel);
+            for mem in dom.valuations(&dom.na_locs) {
+                let memory = Memory::from_pairs(mem.iter().map(|(&l, &v)| (l, v)));
+                let src_state = SeqState::new(src, perm.clone(), written.clone(), memory.clone());
+                let tgt_state = SeqState::new(tgt, perm.clone(), written.clone(), memory);
+                let unmatched = walk
+                    .check(src_state, tgt_state)
+                    .map_err(|_| RefineError::Truncated { configs })?;
+                configs += 1;
+                if let Some(target_behavior) = unmatched {
+                    return Ok(RefineOutcome {
+                        holds: false,
+                        counterexample: Some(Counterexample {
+                            perm,
+                            written,
+                            mem,
+                            target_behavior,
+                        }),
+                        configs,
+                        positions: positions + walk.positions(),
+                    });
+                }
+            }
+            positions += walk.positions();
+        }
+    }
+    Ok(RefineOutcome {
+        holds: true,
+        counterexample: None,
+        configs,
+        positions,
+    })
+}
+
+/// The reference oracle for [`refines_simple`]: decides the same relation
+/// the way Def. 2.4 states it, by enumerating both behavior sets of every
+/// configuration and matching them pairwise. Exponentially slower; kept
+/// for differential tests.
+///
+/// # Errors
+///
+/// Fails with [`RefineError`] if the programs cannot be checked in SEQ.
+pub fn refines_simple_by_enumeration(
+    src: &Program,
+    tgt: &Program,
+    cfg: &RefineConfig,
+) -> Result<RefineOutcome, RefineError> {
+    let dom = domain_for(src, tgt, cfg)?;
     let mut fuel = cfg.max_fuel.unwrap_or(u64::MAX);
     let mut configs = 0;
-    let mut behaviors = 0;
     for perm in dom.loc_subsets() {
         for written in written_options(&dom, cfg.written_quant) {
             for mem in dom.valuations(&dom.na_locs) {
@@ -214,7 +289,6 @@ pub fn refines_simple(
                 let tgt_behs = enumerate_behaviors_fuel(&tgt_state, &dom, &mut fuel)
                     .ok_or(RefineError::Truncated { configs })?;
                 configs += 1;
-                behaviors += tgt_behs.len();
                 if let Err(unmatched) = behaviors_refine(&tgt_behs, &src_behs) {
                     return Ok(RefineOutcome {
                         holds: false,
@@ -225,7 +299,7 @@ pub fn refines_simple(
                             target_behavior: unmatched,
                         }),
                         configs,
-                        behaviors,
+                        positions: 0,
                     });
                 }
             }
@@ -235,7 +309,7 @@ pub fn refines_simple(
         holds: true,
         counterexample: None,
         configs,
-        behaviors,
+        positions: 0,
     })
 }
 
@@ -432,6 +506,38 @@ mod tests {
             refines_advanced_or_simple_outcome(&p("return 1;"), &p("return 2;"), &cfg),
             Err(RefineCheckError::Refuted(_))
         ));
+    }
+
+    #[test]
+    fn product_walk_matches_the_enumeration_oracle() {
+        let progs = [
+            "store[na](pw_x, 1); store[rel](pw_f, 1); return 0;",
+            "store[rel](pw_f, 1); store[na](pw_x, 1); return 0;",
+            "a := load[acq](pw_f); b := load[na](pw_x); return b;",
+            "a := load[acq](pw_f); store[na](pw_x, a); return a;",
+            "a := load[rlx](pw_f); if (a == 1) { abort; } return a;",
+            "while 1 { store[rlx](pw_f, 1); }",
+        ];
+        for max_steps in [96, 3] {
+            let cfg = RefineConfig {
+                max_steps,
+                written_quant: WrittenQuant::AllSubsets,
+                ..RefineConfig::default()
+            };
+            for s in progs {
+                for t in progs {
+                    let (s, t) = (p(s), p(t));
+                    let walk = refines_simple(&s, &t, &cfg).unwrap();
+                    let oracle = refines_simple_by_enumeration(&s, &t, &cfg).unwrap();
+                    assert_eq!(
+                        (walk.holds, walk.configs),
+                        (oracle.holds, oracle.configs),
+                        "{t} ⊑ {s} at max_steps {max_steps}"
+                    );
+                    assert!(walk.positions > 0 && oracle.positions == 0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,8 +38,10 @@ pub static READ_COMMUTES: AtomicU64 = AtomicU64::new(0);
 pub static ATOMIC_COMMUTES: AtomicU64 = AtomicU64::new(0);
 /// Bytes of checkpoint data encoded and written to disk.
 pub static CHECKPOINT_BYTES: AtomicU64 = AtomicU64::new(0);
-/// SEQ refinement fuel spent (states visited by behavior enumeration
-/// and by the advanced checker's game search). Bumped by `seqwm-seq`.
+/// SEQ refinement fuel spent (positions solved and silent steps settled
+/// by the simple checker's product walk, states visited by behavior
+/// enumeration and by the advanced checker's game search). Bumped by
+/// `seqwm-seq`.
 pub static REFINE_FUEL_SPENT: AtomicU64 = AtomicU64::new(0);
 /// Completed behavior-set enumerations in `seqwm-seq`.
 pub static REFINE_ENUMERATIONS: AtomicU64 = AtomicU64::new(0);

@@ -382,6 +382,9 @@ fn accept_loop(core: &Arc<Core>, listener: &TcpListener) {
             break;
         }
         let Ok(mut stream) = stream else { continue };
+        // Replies are single request-sized lines: send each at once
+        // rather than holding it for the client's delayed ACK.
+        let _ = stream.set_nodelay(true);
         // Connection cap: reject at the door, before spending a
         // thread. The rejected client gets a structured error line so
         // it can tell "server full" from "server dead".
@@ -410,10 +413,14 @@ fn accept_loop(core: &Arc<Core>, listener: &TcpListener) {
     }
 }
 
+/// Writes `line` and its newline in one `write_all`: a reply split over
+/// two writes on a Nagle socket waits for the peer's delayed ACK.
 fn write_line(stream: &mut TcpStream, line: &str) -> bool {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
     stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
+        .write_all(&frame)
         .and_then(|()| stream.flush())
         .is_ok()
 }
@@ -1260,14 +1267,14 @@ fn refine_result(
     verdict: &str,
     method: &str,
     configs: usize,
-    behaviors: usize,
+    positions: usize,
     counterexample: Option<String>,
 ) -> Json {
     let mut fields = vec![
         ("verdict".to_string(), Json::str(verdict)),
         ("method".to_string(), Json::str(method)),
         ("configs".to_string(), Json::num(configs as u64)),
-        ("behaviors".to_string(), Json::num(behaviors as u64)),
+        ("positions".to_string(), Json::num(positions as u64)),
     ];
     if let Some(c) = counterexample {
         fields.push(("counterexample".to_string(), Json::str(c)));
@@ -1287,20 +1294,20 @@ fn run_refine(core: &Arc<Core>, params: &Json, budgets: &JobBudgets) -> Result<J
     }
     let simple = refines_simple(&src, &tgt, &cfg).map_err(|e| refine_error(&e))?;
     let mut result = if simple.holds {
-        refine_result("holds", "simple", simple.configs, simple.behaviors, None)
+        refine_result("holds", "simple", simple.configs, simple.positions, None)
     } else {
         // The simple check over-refutes (it quantifies over too few
         // environments); escalate to the oracle-quantified advanced
         // check before trusting the counterexample.
         let adv = refines_advanced(&src, &tgt, &cfg).map_err(|e| refine_error(&e))?;
         if adv.holds {
-            refine_result("holds", "advanced", adv.configs, simple.behaviors, None)
+            refine_result("holds", "advanced", adv.configs, simple.positions, None)
         } else {
             refine_result(
                 "refuted",
                 "advanced",
                 adv.configs,
-                simple.behaviors,
+                simple.positions,
                 simple.counterexample.map(|c| c.to_string()),
             )
         }
@@ -1720,6 +1727,10 @@ mod tests {
         assert_eq!(
             r.get("result").unwrap().get("verdict").unwrap(),
             &Json::str("holds")
+        );
+        assert!(
+            matches!(r.get("result").unwrap().get("positions"), Some(Json::Num(n)) if *n > 0.0),
+            "the simple check reports the product positions it solved: {r}"
         );
         assert_eq!(r.get("cached").unwrap(), &Json::Bool(false));
 

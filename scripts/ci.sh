@@ -68,6 +68,16 @@ echo "==> model-differential (cross-backend behavior equality under LDRF gates)"
 cargo test -q --release --test model_differential
 cargo test -q --release --features fault-injection --test model_differential
 
+echo "==> refine-differential (simple refinement: product walk vs enumeration oracle)"
+# Every verdict of the memoized product walk behind `refines_simple` is
+# compared with the enumerate-then-compare oracle on the transformation
+# corpus (every written-set quantification, three step budgets) and on
+# generated programs paired with each pass's output; every product
+# counterexample is re-checked against the enumerated behavior sets.
+# Release profile: a debug build checks only a prefix of the generated
+# inputs.
+cargo test -q --release --test refine_differential
+
 echo "==> optimizer conformance battery (validated passes + planted refutations)"
 # Every pass over the litmus corpus and generated programs, each rewrite
 # pushed through its translation-validation obligation, plus end-to-end

@@ -420,10 +420,10 @@ fn run() -> Result<(), SeqwmError> {
             let simple =
                 refines_simple(&src, &tgt, &cfg).map_err(|e| SeqwmError::Refine(e.to_string()))?;
             println!(
-                "simple   (Def. 2.4): {}  [{} configs, {} behaviors]",
+                "simple   (Def. 2.4): {}  [{} configs, {} positions]",
                 if simple.holds { "HOLDS" } else { "fails" },
                 simple.configs,
-                simple.behaviors
+                simple.positions
             );
             if let Some(ce) = &simple.counterexample {
                 println!("  counterexample: {ce}");

@@ -5,8 +5,9 @@
 //! scaling families.
 //!
 //! The perf counters sampled by the suite are process-global, so every
-//! in-process `run_suite` call goes through [`suite_lock`] — two suites
-//! measuring concurrently would see each other's counter traffic.
+//! in-process `run_suite` call and every in-process exploration goes
+//! through [`suite_lock`] — work running concurrently with a suite would
+//! show up in its counter deltas.
 
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -249,7 +250,10 @@ fn scaling_families_grow_with_n_and_appear_in_the_suite() {
         assert!(ids.iter().any(|i| i == id), "{id} missing from {ids:?}");
     }
 
-    // And the families really scale: state counts grow with N.
+    // And the families really scale: state counts grow with N. The
+    // explorations bump the process-global counters, so they hold the
+    // suite lock like a suite run.
+    let _guard = suite_lock();
     let small = mp_chain(2);
     let big = mp_chain(3);
     let e_small = small.explore(&engine_config(&small.config()));
