@@ -151,9 +151,10 @@ impl<'a> ProductWalk<'a> {
         Ok(())
     }
 
-    /// Follows the unlabeled path from `s` with `steps` left to its end.
+    /// Follows the unlabeled path from `s` with `steps` left to its end
+    /// (`⊥` and terminated states have no unlabeled step).
     fn settle(&mut self, mut s: SeqState, mut steps: usize) -> Result<u32, Exhausted> {
-        while steps > 0 && !s.is_bottom() && s.returned().is_none() && s.step_unlabeled() {
+        while steps > 0 && s.step_unlabeled() {
             self.charge()?;
             steps -= 1;
         }
